@@ -52,6 +52,7 @@ from .game import (
     normalize_checkpoints,
     run_adaptive_game,
     run_continuous_game,
+    validate_game,
 )
 
 T = TypeVar("T")
@@ -334,7 +335,7 @@ class BatchGameRunner:
     chunk_size:
         Maximum segment length for chunked game execution (see
         :func:`~repro.adversary.game.run_adaptive_game`); ``None`` uses the
-        default, ``1`` forces the per-element path.
+        default, ``1`` plays one-element segments.
     decision_period:
         When set, re-declares the decision cadence of every constructed
         adversary that supports one
@@ -375,8 +376,7 @@ class BatchGameRunner:
         chunk_size: int | None = None,
         decision_period: int | None = None,
     ) -> None:
-        if stream_length < 1:
-            raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+        self.stream_length = validate_game(stream_length, knowledge)
         if decision_period is not None and int(decision_period) < 1:
             raise ConfigurationError(
                 f"decision period must be >= 1, got {decision_period}"
@@ -390,7 +390,6 @@ class BatchGameRunner:
             )
         if epsilon is not None and set_system is None:
             raise ConfigurationError("judging against epsilon requires a set system")
-        self.stream_length = int(stream_length)
         self.set_system = set_system
         self.epsilon = epsilon
         self.knowledge = knowledge
@@ -401,7 +400,7 @@ class BatchGameRunner:
         # checkpoints therefore fail at construction, not inside a worker.
         if continuous:
             self.checkpoints: tuple[int, ...] | None = normalize_checkpoints(
-                tuple(int(c) for c in checkpoints) if checkpoints is not None else None,
+                tuple(checkpoints) if checkpoints is not None else None,
                 self.stream_length,
                 epsilon=epsilon,
                 checkpoint_ratio=checkpoint_ratio,

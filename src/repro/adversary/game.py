@@ -21,30 +21,27 @@ Chunked execution
 -----------------
 The game is sequential only at the adversary's *decision points*; between
 them the stream is fixed and the sampler can consume it in bulk.  Both
-runners therefore segment the stream: each iteration asks the adversary (via
-:meth:`~repro.adversary.base.Adversary.next_elements`) for up to
-``chunk_size`` elements it commits to without further feedback, feeds the
-segment through the sampler's vectorised ``extend`` kernel, and records the
-outcome as a columnar :class:`~repro.samplers.base.UpdateBatch`.  Adaptive
-adversaries with a declared decision cadence
-(:class:`~repro.adversary.base.CadencedAdversary`) emit one block per
-decision point, so segments align with the points where the adversary
-genuinely observes the sampler; the runner also skips materialising the
-sample view for adversaries whose ``decision_needs`` exclude it.  Fully
-adaptive adversaries (which never override ``next_elements``) and
-``chunk_size=1`` take the per-element path, which reproduces the historical
-loop exactly — the runner emits a one-time informational warning when an
-adaptive adversary forces that fallback under requested chunking.  In the
+runners therefore play the stream as a sequence of segments: each iteration
+asks the adversary (via :meth:`~repro.adversary.base.Adversary.next_elements`)
+for up to ``chunk_size`` elements it commits to without further feedback,
+feeds the segment to the sampler, and records the outcome as a columnar
+:class:`~repro.samplers.base.UpdateBatch`.  A fully adaptive adversary (the
+default ``next_elements``) commits to one element per request, so its game
+is the paper's round-by-round loop; adversaries with a declared decision
+cadence (:class:`~repro.adversary.base.CadencedAdversary`) emit one block per
+decision point, and oblivious ones fill whole segments.  ``chunk_size=1``
+caps every segment at one element.  The runner skips materialising the
+sample view for adversaries whose ``decision_needs`` exclude it.  In the
 continuous game segments additionally break at checkpoint boundaries, so
-the sample is judged at exactly the same rounds as the per-element game.
+the sample is judged at exactly the checkpoint rounds for any chunking.
 """
 
 from __future__ import annotations
 
-import warnings
+import operator
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from typing import Any, Literal
+from typing import Any, Literal, get_args
 
 from ..core.approximation import geometric_checkpoints
 from ..exceptions import ConfigurationError, TrackerUnsupportedError
@@ -53,6 +50,9 @@ from ..setsystems.base import SetSystem
 from .base import Adversary
 
 KnowledgeModel = Literal["full", "updates", "oblivious"]
+
+#: The knowledge models the runners accept, in declaration order.
+KNOWLEDGE_MODELS: tuple[str, ...] = get_args(KnowledgeModel)
 
 #: Default segment length for chunked execution.  Large enough that numpy
 #: kernel launch overhead is negligible, small enough that the sampler state
@@ -82,10 +82,10 @@ class GameResult:
         ``True`` when the final sample is an epsilon-approximation (the
         paper's game outputs 1), ``None`` when no epsilon was supplied.
     updates:
-        The per-round update record: a list of :class:`SampleUpdate` on the
-        per-element path, a columnar
-        :class:`~repro.samplers.base.UpdateBatch` (which behaves as a lazy
-        sequence of :class:`SampleUpdate`) on the chunked path.
+        The per-round update record as a columnar
+        :class:`~repro.samplers.base.UpdateBatch` (a lazy sequence of
+        :class:`SampleUpdate`); empty when the game ran with
+        ``keep_updates=False``.
     sampler_name / adversary_name:
         Names for reporting.
     """
@@ -96,7 +96,7 @@ class GameResult:
     witness: Any
     epsilon: float | None
     succeeded: bool | None
-    updates: Sequence[SampleUpdate] = field(repr=False, default_factory=list)
+    updates: UpdateBatch = field(repr=False, default_factory=UpdateBatch.empty)
     sampler_name: str = ""
     adversary_name: str = ""
 
@@ -111,9 +111,7 @@ class GameResult:
     @property
     def total_accepted(self) -> int:
         """Total number of rounds whose element entered the sample (even if later evicted)."""
-        if isinstance(self.updates, UpdateBatch):
-            return self.updates.accepted_count
-        return sum(1 for update in self.updates if update.accepted)
+        return self.updates.accepted_count
 
 
 @dataclass
@@ -149,75 +147,42 @@ class ContinuousGameResult(GameResult):
         return self.first_violation is None
 
 
-def _observed_sample(
-    sampler: StreamSampler, knowledge: KnowledgeModel, adversary: Adversary
-) -> Sequence[Any] | None:
-    """The sample view the adversary gets at this decision point.
+def _as_int(value: Any, what: str) -> int:
+    """``value`` as a Python int; bools and non-integral values are rejected.
 
-    Materialised only under the full-knowledge model *and* when the
-    adversary will actually read the view for this request
-    (``will_observe_sample``, the per-request refinement of
-    ``uses_observed_sample``) — observing the sample is an expensive fresh
-    merge for sharded deployments, so update-driven attacks and cadenced
-    adversaries mid-way through a committed block skip it.  Skipping is
-    behaviourally invisible to the adversary (one that won't read the view
-    makes identical decisions either way), and it keeps the *read pattern*
-    — which exposure-driven defenses like sketch switching count —
-    identical between the per-element and chunked execution paths, where
-    segment requests already consult ``will_observe_sample``.
+    Game sizes index rounds, so a float (even an integral-valued one) or a
+    bool is a caller bug rather than a value to round.
     """
-    if knowledge == "full" and adversary.will_observe_sample():
-        return sampler.sample
-    return None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
-#: Adversaries already reported by :func:`_warn_per_element_fallback`, keyed
-#: by (class name, instance name): one informational warning per distinct
-#: adversary identity per process.  Keying by class alone hid the warning
-#: for differently-named instances of a shared base (e.g. two campaign
-#: members built from one family); keying by name alone would re-warn for
-#: every instance of an unnamed ad-hoc subclass.
-_FALLBACK_WARNED: set[tuple[str, str]] = set()
+def validate_knowledge(knowledge: str) -> None:
+    """Reject a knowledge model outside :data:`KNOWLEDGE_MODELS`."""
+    if knowledge not in KNOWLEDGE_MODELS:
+        raise ConfigurationError(
+            f"unknown knowledge model {knowledge!r}; expected one of {KNOWLEDGE_MODELS}"
+        )
 
 
-def reset_fallback_warnings() -> None:
-    """Clear the per-process fallback-warning latch.
-
-    The latch makes :func:`_warn_per_element_fallback` fire once per
-    adversary identity per process; tests that assert on the warning (or
-    that must not inherit another test's latched state) call this to get a
-    fresh slate.  The test suite resets it automatically around every test.
-    """
-    _FALLBACK_WARNED.clear()
-
-
-def _warn_per_element_fallback(adversary: Adversary) -> None:
-    """One-time note that an adaptive adversary forced the per-element path.
-
-    Adaptive adversaries without a declared decision cadence silently cost
-    orders of magnitude more per round than cadence-declaring or oblivious
-    ones, which makes sweep grid cells mysteriously slow.  Emitted only when
-    chunked execution was requested (an explicit ``chunk_size=1`` is a
-    deliberate choice and stays silent)."""
-    key = (type(adversary).__name__, str(getattr(adversary, "name", "")))
-    if key in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(key)
-    warnings.warn(
-        f"adversary {adversary.name!r} ({key[0]}) declares no decision cadence "
-        "(it never overrides next_elements / CadencedAdversary), so the game "
-        "runs on the per-element path. Declare a cadence for chunked "
-        "execution, or pass chunk_size=1 to make the per-element path explicit.",
-        RuntimeWarning,
-        stacklevel=4,
-    )
+def validate_game(stream_length: int, knowledge: str) -> int:
+    """Validate the size and knowledge model of a game; returns the size as an int."""
+    length = _as_int(stream_length, "stream length")
+    if length < 1:
+        raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+    validate_knowledge(knowledge)
+    return length
 
 
 def _is_normalized_checkpoints(checkpoints: Sequence[int]) -> bool:
     """Cheap check for a strictly increasing tuple of ints (no allocation)."""
     previous = 0
     for checkpoint in checkpoints:
-        if not isinstance(checkpoint, int) or checkpoint <= previous:
+        if type(checkpoint) is not int or checkpoint <= previous:
             return False
         previous = checkpoint
     return True
@@ -247,7 +212,7 @@ def normalize_checkpoints(
     if isinstance(checkpoints, tuple) and _is_normalized_checkpoints(checkpoints):
         normalized = checkpoints
     else:
-        normalized = tuple(sorted(set(int(c) for c in checkpoints)))
+        normalized = tuple(sorted({_as_int(c, "checkpoint") for c in checkpoints}))
     if normalized and not (1 <= normalized[0] and normalized[-1] <= stream_length):
         offender = normalized[0] if normalized[0] < 1 else normalized[-1]
         raise ConfigurationError(
@@ -259,45 +224,10 @@ def normalize_checkpoints(
 def _resolve_chunk_size(chunk_size: int | None) -> int:
     if chunk_size is None:
         return DEFAULT_CHUNK_SIZE
-    chunk = int(chunk_size)
+    chunk = _as_int(chunk_size, "chunk size")
     if chunk < 1:
         raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
     return chunk
-
-
-def _is_segmented(adversary: Adversary) -> bool:
-    """Whether the adversary declares coarser-than-per-round decision points."""
-    return type(adversary).next_elements is not Adversary.next_elements
-
-
-def _request_segment(
-    adversary: Adversary,
-    sampler: StreamSampler,
-    knowledge: KnowledgeModel,
-    round_index: int,
-    budget: int,
-) -> list[Any]:
-    # will_observe_sample refines the static declaration per request: a
-    # cadenced adversary mid-way through a committed block declines the view
-    # it is guaranteed to ignore, so chunk sizes below the decision period
-    # don't re-materialise the sample (a fresh merge on sharded deployments)
-    # for every segment of one block.
-    observed = (
-        sampler.sample
-        if knowledge == "full" and adversary.will_observe_sample()
-        else None
-    )
-    segment = adversary.next_elements(round_index + 1, budget, observed)
-    if not segment:
-        raise ConfigurationError(
-            f"{adversary.name!r} returned an empty segment at round {round_index + 1}"
-        )
-    if len(segment) > budget:
-        raise ConfigurationError(
-            f"{adversary.name!r} returned {len(segment)} elements for a segment "
-            f"budget of {budget} at round {round_index + 1}"
-        )
-    return segment
 
 
 class _UpdateLog:
@@ -341,14 +271,29 @@ def _play_segment(
 ) -> list[Any]:
     """Request one committed segment, ingest it, log and forward updates.
 
-    The shared inner step of both chunked runners; returns the segment so
-    the continuous runner can feed its tracker.  Singleton segments (an
-    adaptive decision point) go through ``process`` directly — cheaper than
-    a one-element ``extend`` — and multi-element segments through the
+    The shared inner step of both runners; returns the segment so the
+    continuous runner can feed its tracker.  Singleton segments (an adaptive
+    decision point) go through ``process`` directly — cheaper than a
+    one-element ``extend`` — and multi-element segments through the
     sampler's vectorised kernel, with the update record materialised only
     when the caller keeps it or the adversary listens to this segment.
     """
-    segment = _request_segment(adversary, sampler, knowledge, round_index, budget)
+    # will_observe_sample refines the static declaration per request: a
+    # cadenced adversary mid-way through a committed block declines the view
+    # it is guaranteed to ignore, so chunk sizes below the decision period
+    # don't re-materialise the sample (a fresh merge on sharded deployments)
+    # for every segment of one block.
+    observed = sampler.sample if knowledge == "full" and adversary.will_observe_sample() else None
+    segment = adversary.next_elements(round_index + 1, budget, observed)
+    if not segment:
+        raise ConfigurationError(
+            f"{adversary.name!r} returned an empty segment at round {round_index + 1}"
+        )
+    if len(segment) > budget:
+        raise ConfigurationError(
+            f"{adversary.name!r} returned {len(segment)} elements for a segment "
+            f"budget of {budget} at round {round_index + 1}"
+        )
     feed = knowledge != "oblivious" and adversary.observes_updates(
         round_index + 1, round_index + len(segment)
     )
@@ -403,45 +348,23 @@ def run_adaptive_game(
         Set to ``False`` to drop the per-round update log (saves memory on
         very long streams).
     chunk_size:
-        Maximum segment length for chunked execution (default
-        :data:`DEFAULT_CHUNK_SIZE`).  ``1`` forces the historical per-element
-        path; adversaries that never declare coarse decision points take
-        that path regardless.
+        Maximum segment length (default :data:`DEFAULT_CHUNK_SIZE`; see the
+        module docstring).  ``1`` plays one-element segments.
     """
-    if stream_length < 1:
-        raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+    stream_length = validate_game(stream_length, knowledge)
     if epsilon is not None and set_system is None:
         raise ConfigurationError("judging against epsilon requires a set system")
     chunk = _resolve_chunk_size(chunk_size)
 
     stream: list[Any] = []
-    updates: Sequence[SampleUpdate]
-    if chunk <= 1 or not _is_segmented(adversary):
-        if chunk > 1:
-            _warn_per_element_fallback(adversary)
-        # Per-element path: a decision point every round.
-        update_list: list[SampleUpdate] = []
-        for round_index in range(1, stream_length + 1):
-            element = adversary.next_element(
-                round_index, _observed_sample(sampler, knowledge, adversary)
-            )
-            update = sampler.process(element)
-            stream.append(element)
-            if keep_updates:
-                update_list.append(update)
-            if knowledge != "oblivious":
-                adversary.observe_update(update)
-        updates = update_list
-    else:
-        log = _UpdateLog()
-        round_index = 0
-        while round_index < stream_length:
-            budget = min(chunk, stream_length - round_index)
-            segment = _play_segment(
-                sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
-            )
-            round_index += len(segment)
-        updates = log.collect() if keep_updates else []
+    log = _UpdateLog()
+    round_index = 0
+    while round_index < stream_length:
+        budget = min(chunk, stream_length - round_index)
+        segment = _play_segment(
+            sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
+        )
+        round_index += len(segment)
 
     sample = sampler.snapshot()
     error: float | None = None
@@ -462,7 +385,7 @@ def run_adaptive_game(
         witness=witness,
         epsilon=epsilon,
         succeeded=succeeded,
-        updates=updates,
+        updates=log.collect(),
         sampler_name=sampler.name,
         adversary_name=adversary.name,
     )
@@ -501,13 +424,11 @@ def run_continuous_game(
     streams whose elements a tracker cannot index, such as the huge-integer
     universes of the Figure-3 attack — silently use the batch path.
 
-    Segments of the chunked path (see module docstring; ``chunk_size=1``
-    forces the per-element game) additionally break at checkpoint
-    boundaries, so every checkpoint observes exactly the same sampler state
-    as the per-element game.
+    Segments (see module docstring) additionally break at checkpoint
+    boundaries, so every checkpoint observes the sampler state after exactly
+    that many rounds, whatever the ``chunk_size``.
     """
-    if stream_length < 1:
-        raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
+    stream_length = validate_game(stream_length, knowledge)
     checkpoint_list = normalize_checkpoints(
         checkpoints, stream_length, epsilon=epsilon, checkpoint_ratio=checkpoint_ratio
     )
@@ -550,48 +471,20 @@ def run_continuous_game(
 
     errors: list[float] = []
     next_checkpoint = 0
-    updates: Sequence[SampleUpdate]
-    if chunk <= 1 or not _is_segmented(adversary):
-        if chunk > 1:
-            _warn_per_element_fallback(adversary)
-        update_list: list[SampleUpdate] = []
-        for round_index in range(1, stream_length + 1):
-            element = adversary.next_element(
-                round_index, _observed_sample(sampler, knowledge, adversary)
-            )
-            update = sampler.process(element)
-            stream.append(element)
-            if keep_updates:
-                update_list.append(update)
-            _track((element,))
-            if knowledge != "oblivious":
-                adversary.observe_update(update)
-            if (
-                next_checkpoint < len(checkpoint_list)
-                and round_index == checkpoint_list[next_checkpoint]
-            ):
-                errors.append(_judge(sampler.snapshot())[0])
-                next_checkpoint += 1
-        updates = update_list
-    else:
-        log = _UpdateLog()
-        round_index = 0
-        while round_index < stream_length:
-            budget = min(chunk, stream_length - round_index)
-            if next_checkpoint < len(checkpoint_list):
-                budget = min(budget, checkpoint_list[next_checkpoint] - round_index)
-            segment = _play_segment(
-                sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
-            )
-            _track(segment)
-            round_index += len(segment)
-            if (
-                next_checkpoint < len(checkpoint_list)
-                and round_index == checkpoint_list[next_checkpoint]
-            ):
-                errors.append(_judge(sampler.snapshot())[0])
-                next_checkpoint += 1
-        updates = log.collect() if keep_updates else []
+    log = _UpdateLog()
+    round_index = 0
+    while round_index < stream_length:
+        budget = min(chunk, stream_length - round_index)
+        if next_checkpoint < len(checkpoint_list):
+            budget = min(budget, checkpoint_list[next_checkpoint] - round_index)
+        segment = _play_segment(
+            sampler, adversary, knowledge, keep_updates, stream, log, round_index, budget
+        )
+        _track(segment)
+        round_index += len(segment)
+        if next_checkpoint < len(checkpoint_list) and round_index == checkpoint_list[next_checkpoint]:
+            errors.append(_judge(sampler.snapshot())[0])
+            next_checkpoint += 1
 
     sample = sampler.snapshot()
     final_error, witness = _judge(sample)
@@ -603,7 +496,7 @@ def run_continuous_game(
         witness=witness,
         epsilon=epsilon,
         succeeded=succeeded,
-        updates=updates,
+        updates=log.collect(),
         sampler_name=sampler.name,
         adversary_name=adversary.name,
         checkpoints=list(checkpoint_list),

@@ -30,11 +30,9 @@ from collections.abc import Mapping
 from typing import Any
 
 from ..adversary.campaign import CAMPAIGN_MODES, phase_start_rounds
+from ..adversary.game import validate_knowledge
 from ..distributed.faults import compile_fault_spec
 from ..exceptions import ConfigurationError
-
-#: Knowledge models accepted by the game runners.
-KNOWLEDGE_MODELS = ("full", "updates", "oblivious")
 
 #: Defense kinds accepted by the ``defense`` block.  ``oversample`` is
 #: Theorem 1.2's k -> factor*k capacity scaling (a spec rewrite, no wrapper);
@@ -364,8 +362,8 @@ class ScenarioConfig:
     benign: dict[str, Any] | None = None
     set_system: dict[str, Any] = field(default_factory=lambda: {"kind": "prefix"})
     workers: int | None = None
-    #: Maximum segment length for chunked game execution (``None`` = runner
-    #: default, ``1`` = the per-element path).  Chunking never changes *which*
+    #: Maximum segment length for game execution (``None`` = runner default,
+    #: ``1`` = one-element segments).  Chunking never changes *which*
     #: rounds the adversary controls or where checkpoints fall, so budget
     #: monotonicity is unaffected.
     chunk_size: int | None = None
@@ -467,11 +465,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"decision period must be >= 1, got {self.decision_period}"
             )
-        if self.knowledge not in KNOWLEDGE_MODELS:
-            raise ConfigurationError(
-                f"unknown knowledge model {self.knowledge!r}; "
-                f"expected one of {KNOWLEDGE_MODELS}"
-            )
+        validate_knowledge(self.knowledge)
         if not self.samplers:
             raise ConfigurationError("a scenario needs at least one sampler spec")
         # Frozen dataclasses still allow attribute mutation through

@@ -40,6 +40,7 @@ from typing import Any
 
 import numpy as np
 
+from ..adversary.game import KNOWLEDGE_MODELS
 from ..distributed.sharded import ShardedSampler, build_sharding_strategy
 from ..rng import ensure_generator, spawn_generators
 from .builders import MERGEABLE_SAMPLER_FAMILIES, SamplerFromSpec
@@ -260,7 +261,6 @@ _SITE_CHOICES = (2, 3, 4)
 _STRATEGY_CHOICES = ("random", "hash", "round_robin", "skewed")
 _STREAM_CHOICES = (64, 96, 128, 160)
 _UNIVERSE_CHOICES = (16, 32, 48)
-_KNOWLEDGE_CHOICES = ("full", "updates", "oblivious")
 _SET_SYSTEM_CHOICES = ("prefix", "interval")
 _PERIOD_CHOICES = (None, 4, 8)
 _BUDGET_TOLERANCE = 1e-12
@@ -366,7 +366,7 @@ def random_choices(
     return FuzzChoices(
         stream_length=int(_pick(rng, _STREAM_CHOICES)),
         universe_size=int(_pick(rng, _UNIVERSE_CHOICES)),
-        knowledge=_pick(rng, _KNOWLEDGE_CHOICES),
+        knowledge=_pick(rng, KNOWLEDGE_MODELS),
         set_system=_pick(rng, _SET_SYSTEM_CHOICES),
         sampler=sampler,
         sites=sites,
@@ -407,7 +407,7 @@ def choices_strategy() -> Any:
             FuzzChoices,
             stream_length=st.sampled_from(_STREAM_CHOICES),
             universe_size=st.sampled_from(_UNIVERSE_CHOICES),
-            knowledge=st.sampled_from(_KNOWLEDGE_CHOICES),
+            knowledge=st.sampled_from(KNOWLEDGE_MODELS),
             set_system=st.sampled_from(_SET_SYSTEM_CHOICES),
             sampler=st.just(sampler),
             sites=st.just(sites),

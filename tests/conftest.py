@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.adversary import reset_fallback_warnings
 from repro.setsystems import ExplicitSetSystem, IntervalSystem, PrefixSystem, SingletonSystem
 
 # Two property-testing budgets, both fully deterministic (derandomize pins
@@ -18,21 +17,6 @@ from repro.setsystems import ExplicitSetSystem, IntervalSystem, PrefixSystem, Si
 settings.register_profile("fuzz-smoke", max_examples=12, deadline=None, derandomize=True)
 settings.register_profile("fuzz-nightly", max_examples=75, deadline=None, derandomize=True)
 settings.load_profile(os.environ.get("REPRO_FUZZ_PROFILE", "fuzz-smoke"))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_fallback_warning_latch():
-    """Reset the once-per-process fallback-warning latch around every test.
-
-    The latch makes the per-element fallback RuntimeWarning fire once per
-    adversary identity per process, so without the reset the warning's
-    visibility would depend on test execution order — the test that asserts
-    on it with ``pytest.warns`` would pass alone and fail after any earlier
-    test that happened to trigger the same adversary class.
-    """
-    reset_fallback_warnings()
-    yield
-    reset_fallback_warnings()
 
 
 @pytest.fixture

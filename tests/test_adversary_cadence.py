@@ -10,18 +10,15 @@ The pins, in the order the chunked engine relies on them:
 * **period 1 is the historical attack** — hand-driven traces match the
   pre-cadence per-round behaviour;
 * **protocol plumbing** — ``decision_needs`` controls what the runner
-  materialises, ``apply_decision_period`` re-declares cadence through
-  wrappers, and the per-element fallback warns once.
+  materialises, and ``apply_decision_period`` re-declares cadence through
+  wrappers.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.adversary import (
-    Adversary,
     BatchGameRunner,
     BisectionAdversary,
     CadencedAdversary,
@@ -36,7 +33,6 @@ from repro.adversary import (
     run_adaptive_game,
     run_continuous_game,
 )
-from repro.adversary.game import _FALLBACK_WARNED
 from repro.exceptions import ConfigurationError
 from repro.samplers import BernoulliSampler
 from repro.samplers.base import SampleUpdate, UpdateBatch
@@ -302,40 +298,6 @@ class TestApplyDecisionPeriod:
     def test_batch_runner_validates_the_knob(self):
         with pytest.raises(ConfigurationError):
             BatchGameRunner(100, decision_period=0)
-
-
-class TestPerElementFallbackWarning:
-    class PerRoundAttack(Adversary):
-        name = "per-round-attack"
-
-        def next_element(self, round_index, observed_sample):
-            return round_index
-
-    def test_warns_once_under_default_chunking(self):
-        _FALLBACK_WARNED.discard("PerRoundAttack")
-        with pytest.warns(RuntimeWarning, match="per-element path"):
-            run_adaptive_game(BernoulliSampler(0.5, seed=0), self.PerRoundAttack(), 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_adaptive_game(BernoulliSampler(0.5, seed=0), self.PerRoundAttack(), 10)
-
-    def test_explicit_chunk_size_one_stays_silent(self):
-        _FALLBACK_WARNED.discard("PerRoundAttack")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_adaptive_game(
-                BernoulliSampler(0.5, seed=0), self.PerRoundAttack(), 10, chunk_size=1
-            )
-        assert "PerRoundAttack" not in _FALLBACK_WARNED
-
-    def test_cadenced_adversaries_stay_silent(self):
-        before = set(_FALLBACK_WARNED)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_adaptive_game(
-                BernoulliSampler(0.5, seed=0), BisectionAdversary(), 10
-            )
-        assert set(_FALLBACK_WARNED) == before
 
 
 class TestScenarioCadence:

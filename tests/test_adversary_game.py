@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adversary import (
+    BatchGameRunner,
     GeneratorAdversary,
     SortedAdversary,
     StaticAdversary,
@@ -265,3 +267,65 @@ class TestContinuousGame:
             checkpoints=list(range(1, 151)),
         )
         assert result.max_checkpoint_error >= result.error - 1e-12
+
+
+class TestRunnerBoundary:
+    """Game sizes must be integers and the knowledge model a known one;
+    anything else is rejected before a round is played."""
+
+    @staticmethod
+    def _adaptive(stream_length=40, **kwargs):
+        return run_adaptive_game(
+            BernoulliSampler(0.5, seed=1), UniformAdversary(16, seed=2), stream_length, **kwargs
+        )
+
+    @staticmethod
+    def _continuous(checkpoints, stream_length=40, **kwargs):
+        return run_continuous_game(
+            BernoulliSampler(0.5, seed=1),
+            UniformAdversary(16, seed=2),
+            stream_length,
+            set_system=PrefixSystem(16),
+            checkpoints=checkpoints,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("stream_length", [5000.5, 40.0, True, "40"])
+    def test_non_integral_stream_length_rejected(self, stream_length):
+        with pytest.raises(ConfigurationError, match="stream length must be an integer"):
+            self._adaptive(stream_length)
+        with pytest.raises(ConfigurationError, match="stream length must be an integer"):
+            self._continuous(None, stream_length=stream_length)
+
+    @pytest.mark.parametrize("checkpoints", [[10.5, 20.9], (10, True), [np.float64(20)]])
+    def test_non_integral_checkpoints_rejected(self, checkpoints):
+        with pytest.raises(ConfigurationError, match="checkpoint must be an integer"):
+            self._continuous(checkpoints)
+
+    @pytest.mark.parametrize("chunk_size", [2.7, 4.0, True])
+    def test_non_integral_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ConfigurationError, match="chunk size must be an integer"):
+            self._adaptive(chunk_size=chunk_size)
+        with pytest.raises(ConfigurationError, match="chunk size must be an integer"):
+            self._continuous(None, chunk_size=chunk_size)
+
+    def test_numpy_integers_accepted(self):
+        result = self._continuous(np.arange(10, 41, 10), chunk_size=np.int32(7))
+        assert result.checkpoints == [10, 20, 30, 40]
+        assert all(type(c) is int for c in result.checkpoints)
+        assert self._adaptive(np.int64(40), chunk_size=np.int64(3)).stream_length == 40
+
+    @pytest.mark.parametrize("knowledge", ["oblivous", "FULL", None])
+    def test_unknown_knowledge_model_rejected(self, knowledge):
+        with pytest.raises(ConfigurationError, match="unknown knowledge model"):
+            self._adaptive(knowledge=knowledge)
+        with pytest.raises(ConfigurationError, match="unknown knowledge model"):
+            self._continuous(None, knowledge=knowledge)
+        with pytest.raises(ConfigurationError, match="unknown knowledge model"):
+            BatchGameRunner(40, knowledge=knowledge)
+
+    def test_batch_runner_rejects_non_integral_sizes(self):
+        with pytest.raises(ConfigurationError, match="stream length must be an integer"):
+            BatchGameRunner(40.5)
+        with pytest.raises(ConfigurationError, match="checkpoint must be an integer"):
+            BatchGameRunner(40, set_system=PrefixSystem(16), continuous=True, checkpoints=[10.5])
