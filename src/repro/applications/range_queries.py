@@ -22,7 +22,7 @@ from ..setsystems.rectangles import Box
 
 def exact_range_count(points: Sequence[tuple], box: Box) -> int:
     """Ground truth: number of stream points inside the box."""
-    return sum(1 for point in points if point in box)
+    return box.count(points)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class SampleRangeCounter:
         sample = self._sampler.sample
         if len(sample) == 0:
             raise EmptySampleError("the counter has not retained any point yet")
-        density = sum(1 for point in sample if point in box) / len(sample)
+        density = box.count(sample) / len(sample)
         return density * self._count
 
     def answer(self, box: Box, stream: Sequence[tuple]) -> RangeQueryResult:

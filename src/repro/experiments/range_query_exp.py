@@ -88,9 +88,7 @@ def run_range_queries(config: ExperimentConfig | None = None) -> ExperimentResul
             worst_query_error = 0.0
             for box in queries:
                 exact = exact_range_count(stream, box)
-                estimate = (
-                    sum(1 for point in sample if point in box) / len(sample) * len(stream)
-                )
+                estimate = box.count(sample) / len(sample) * len(stream)
                 worst_query_error = max(worst_query_error, abs(estimate - exact) / len(stream))
             discrepancy = system.max_discrepancy(stream, sample)
             return {

@@ -21,10 +21,20 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
+import numpy as np
+
 from ..exceptions import EmptySampleError
+
+#: Inputs shorter than this are counted by the membership loop.  Turning them
+#: into an array has a fixed cost of ~11 µs; the loop costs ~0.15 µs an
+#: element against an interval and ~1.5 µs a point against a box.
+NUMERIC_COUNT_CUTOFF = 64
+
+#: Every integer strictly below this magnitude is exactly a ``float64``.
+_EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,64 @@ class Range(ABC):
     @abstractmethod
     def __contains__(self, element: Any) -> bool:
         """Return ``True`` if ``element`` belongs to this range."""
+
+    def count(self, elements: Iterable[Any]) -> int:
+        """Number of ``elements`` inside this range, repetitions counted.
+
+        Always equal to ``sum(1 for e in elements if e in self)``, including
+        the exception that loop raises.  Ranges with a numeric form override
+        it with one array comparison over :func:`numeric_elements`.
+        """
+        return sum(1 for element in elements if element in self)
+
+
+def exact_bounds(*values: Any) -> list[float] | None:
+    """``values`` as ``float64`` numbers that compare exactly like them, or ``None``.
+
+    Python and ``float64`` floats, and integers below ``2**53`` in magnitude,
+    qualify.  Any other value (a huge integer, a single-precision scalar,
+    which numpy compares in single precision, an arbitrary object) keeps a
+    range on its membership loop.
+    """
+    bounds = []
+    for value in values:
+        if isinstance(value, float):
+            bounds.append(float(value))
+        elif isinstance(value, (int, np.integer)) and abs(int(value)) < _EXACT_LIMIT:
+            bounds.append(float(value))
+        else:
+            return None
+    return bounds
+
+
+def numeric_elements(elements: Any, width: int | None = None) -> np.ndarray | None:
+    """``elements`` as a ``float64`` array on which comparisons equal ``in``, or ``None``.
+
+    The array has shape ``(n,)``, or ``(n, width)`` for points.  It is
+    returned only for at least :data:`NUMERIC_COUNT_CUTOFF` elements that
+    numpy converts to an integer or ``float64`` array of that shape with every
+    value below ``2**53`` in magnitude, so the conversion is exact.  Bools,
+    object or string input, ragged input, a wrong shape, NaN, ±inf and huge
+    integers return ``None``.  One gap remains: numpy promotes ``float32``
+    scalars mixed into a list with other numbers to ``float64``, while ``in``
+    compares each of them in single precision.
+    """
+    try:
+        if len(elements) < NUMERIC_COUNT_CUTOFF:
+            return None
+        array = np.asarray(elements)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if width is None:
+        shaped = array.ndim == 1
+    else:
+        shaped = array.ndim == 2 and array.shape[1] == width
+    if not shaped or not (array.dtype.kind in "iu" or array.dtype == np.float64):
+        return None
+    values = array.astype(np.float64, copy=False)
+    if not (np.abs(values) < _EXACT_LIMIT).all():
+        return None
+    return values
 
 
 class SetSystem(ABC):
@@ -116,8 +184,7 @@ class SetSystem(ABC):
         """
         if len(elements) == 0:
             raise EmptySampleError("density of a range in an empty sequence is undefined")
-        hits = sum(1 for element in elements if element in range_)
-        return hits / len(elements)
+        return range_.count(elements) / len(elements)
 
     def max_discrepancy(
         self, stream: Sequence[Any], sample: Sequence[Any]

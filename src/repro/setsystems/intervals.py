@@ -20,13 +20,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, EmptySampleError
-from .base import DiscrepancyResult, Range, SetSystem
+from .base import DiscrepancyResult, Range, SetSystem, exact_bounds, numeric_elements
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,13 @@ class Prefix(Range):
 
     def __contains__(self, element: Any) -> bool:
         return element <= self.bound
+
+    def count(self, elements: Iterable[Any]) -> int:
+        values = numeric_elements(elements)
+        bounds = None if values is None else exact_bounds(self.bound)
+        if bounds is None:
+            return super().count(elements)
+        return int(np.count_nonzero(values <= bounds[0]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Prefix(<= {self.bound})"
@@ -58,6 +65,14 @@ class Interval(Range):
     def __contains__(self, element: Any) -> bool:
         return self.low <= element <= self.high
 
+    def count(self, elements: Iterable[Any]) -> int:
+        values = numeric_elements(elements)
+        bounds = None if values is None else exact_bounds(self.low, self.high)
+        if bounds is None:
+            return super().count(elements)
+        low, high = bounds
+        return int(np.count_nonzero((low <= values) & (values <= high)))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Interval([{self.low}, {self.high}])"
 
@@ -77,7 +92,9 @@ def _cumulative_difference(
     The computation only needs the *order* of the values, not their
     magnitudes: when elements are huge Python integers (the Figure-3 attack
     uses universes of thousands of bits) the fast numpy path would overflow,
-    so a pure-Python bisection fallback is used instead.
+    so a pure-Python bisection fallback is used instead.  NaN has no place in
+    that order and raises :class:`ConfigurationError`; every non-finite value
+    reaches the fallback, which checks for it.
     """
     if len(sample) == 0:
         raise EmptySampleError("an empty sample is never an epsilon-approximation")
@@ -111,6 +128,9 @@ def _requires_exact_arithmetic(stream_sorted: list, sample_sorted: list) -> bool
 
 def _cumulative_difference_exact(stream_sorted: list, sample_sorted: list) -> tuple[list, np.ndarray]:
     """Order-based fallback of :func:`_cumulative_difference` for huge integers."""
+    for name, values in (("stream", stream_sorted), ("sample", sample_sorted)):
+        if any(value != value for value in values):
+            raise ConfigurationError(f"the {name} contains NaN, which has no order")
     breakpoints: list = []
     for value in _merge_unique(stream_sorted, sample_sorted):
         breakpoints.append(value)

@@ -180,16 +180,37 @@ class DenseCountTracker(DiscrepancyTracker):
         self._counts[index] += 1
         self._n += 1
 
-    def add_batch(self, elements: Iterable[Any]) -> None:
-        elements = list(elements)
-        if not elements:
-            return
-        indices = np.fromiter(
-            (self._index(element) for element in elements),
-            dtype=np.int64,
-            count=len(elements),
+    def _indices(self, elements: Sequence[Any]) -> np.ndarray:
+        """0-based count indices of a batch, all validated, or raise.
+
+        An integer array inside the universe is indexed in one operation;
+        any other input (bools, floats, objects, a value out of range) goes
+        through :meth:`_index` element by element, which raises on the first
+        element it cannot index.
+        """
+        try:
+            values = np.asarray(elements)
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if (
+            values is not None
+            and values.ndim == 1
+            and values.dtype.kind in "iu"
+            and 1 <= values.min()
+            and values.max() <= self.universe_size
+        ):
+            return values.astype(np.int64) - 1
+        return np.fromiter(
+            (self._index(element) for element in elements), dtype=np.int64, count=len(elements)
         )
-        np.add.at(self._counts, indices, 1)
+
+    def add_batch(self, elements: Iterable[Any]) -> None:
+        if not isinstance(elements, np.ndarray):
+            elements = list(elements)
+        if len(elements) == 0:
+            return
+        # Scatter-add costs O(batch), where a bincount would cost O(universe).
+        np.add.at(self._counts, self._indices(elements), 1)
         self._n += len(elements)
 
     def reset(self) -> None:
@@ -207,12 +228,7 @@ class DenseCountTracker(DiscrepancyTracker):
         """Dense per-value counts of a sample snapshot (validated)."""
         if len(sample) == 0:
             raise EmptySampleError("an empty sample is never an epsilon-approximation")
-        indices = np.fromiter(
-            (self._index(element) for element in sample),
-            dtype=np.int64,
-            count=len(sample),
-        )
-        return np.bincount(indices, minlength=self.universe_size)
+        return np.bincount(self._indices(sample), minlength=self.universe_size)
 
     def _cumulative_difference(self, sample: Sequence[Any]) -> np.ndarray:
         """``F_stream(v) - F_sample(v)`` for every universe value ``v``.

@@ -199,3 +199,36 @@ class TestContinuousPrefixSystem:
         system = ContinuousPrefixSystem(0.0, 1.0)
         assert system.contains_element(0.5)
         assert not system.contains_element(1.5)
+
+
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    """NaN has no place in the order the prefix and interval judges sweep."""
+
+    @pytest.mark.parametrize("system", [PrefixSystem(100), IntervalSystem(100)])
+    def test_nan_in_stream_on_the_float_path(self, system):
+        # This call used to report 0.75 for the prefix system.
+        with pytest.raises(ConfigurationError):
+            system.max_discrepancy([0, 500, NAN, 3], [3])
+
+    @pytest.mark.parametrize("system", [PrefixSystem(100), IntervalSystem(100)])
+    def test_nan_in_sample_on_the_float_path(self, system):
+        with pytest.raises(ConfigurationError):
+            system.max_discrepancy([1, 2, 3], [2, NAN])
+
+    @pytest.mark.parametrize("system", [PrefixSystem(2**80), IntervalSystem(2**80)])
+    def test_nan_in_stream_on_the_exact_path(self, system):
+        # Integers above 2^53 route the sweep to exact order comparisons.
+        with pytest.raises(ConfigurationError):
+            system.max_discrepancy([2**60, NAN, 2**70], [2**60])
+
+    @pytest.mark.parametrize("system", [PrefixSystem(2**80), IntervalSystem(2**80)])
+    def test_nan_in_sample_on_the_exact_path(self, system):
+        with pytest.raises(ConfigurationError):
+            system.max_discrepancy([2**60, 2**61, 2**70], [NAN, 2**70])
+
+    def test_infinity_is_still_ordered(self):
+        result = PrefixSystem(100).max_discrepancy([1, float("inf"), 3], [3])
+        assert result.error == pytest.approx(1 / 3)

@@ -119,6 +119,41 @@ class TestRectangleSystem:
         )
         assert fast == pytest.approx(brute)
 
+    def test_longer_points_rejected_not_truncated(self):
+        # Scoring (1, 2) and (2, 2) here used to report an error of 0.5.
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, 2, 3), (2, 2, 2)], [(2, 2, 2)])
+
+    def test_shorter_points_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1,), (2,)], [(2,)])
+
+    def test_ragged_points_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, 2), (3,)], [(1, 2)])
+
+    def test_wrong_dimension_sample_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, 2), (3, 4)], [(1, 2, 3)])
+
+    def test_non_numeric_coordinates_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, "a"), (3, 4)], [(3, 4)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_stream_coordinate_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, 2), (bad, 3)], [(1, 2)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sample_coordinate_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            RectangleSystem(4, 2).max_discrepancy([(1, 2), (2, 3)], [(2, bad)])
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(EmptySampleError):
+            RectangleSystem(4, 2).max_discrepancy([], [(1, 2)])
+
     def test_randomised_fallback_flagged_not_exact(self):
         system = RectangleSystem(64, 2, max_exact_candidates=10, seed=0)
         stream = [(i % 64 + 1, (3 * i) % 64 + 1) for i in range(50)]
