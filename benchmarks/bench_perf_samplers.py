@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,10 @@ from repro.samplers import (
     SlidingWindowSampler,
     WeightedReservoirSampler,
 )
+
+# The rebuild-per-round sliding window is kept beside the tests as their oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_window import ReferenceSlidingWindowSampler  # noqa: E402
 
 STREAM_LENGTH = 20_000
 
@@ -73,6 +81,39 @@ def test_perf_sliding_window_sampler(benchmark, workload):
         return sampler.sample_size
 
     assert benchmark(run) == 20
+
+
+def test_perf_sliding_window_process(workload):
+    """Gate: adaptive-game rounds on the sliding window are >= 5x the reference, bit for bit.
+
+    The adaptive game's access pattern: one ``process`` per element and a
+    ``sample`` read after each, 2*10^4 elements at (k, w) = (32, 256), against
+    the rebuild-per-round sampler in ``tests/reference_window.py``.  One timed
+    shot each (the reference takes seconds).
+    """
+
+    def play(sampler):
+        start = time.perf_counter()
+        accepted = []
+        for element in workload:
+            accepted.append(sampler.process(element).accepted)
+            sampler.sample
+        return time.perf_counter() - start, accepted
+
+    fast = SlidingWindowSampler(32, 256, seed=1)
+    slow = ReferenceSlidingWindowSampler(32, 256, seed=1)
+    fast_seconds, fast_accepted = play(fast)
+    slow_seconds, slow_accepted = play(slow)
+
+    assert fast_accepted == slow_accepted
+    assert fast._candidates == slow._candidates
+    assert fast.sample == slow.sample
+    assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
+    speedup = slow_seconds / fast_seconds
+    assert speedup >= 5.0, (
+        f"sliding window is only {speedup:.1f}x faster "
+        f"({fast_seconds:.3f}s vs {slow_seconds:.2f}s)"
+    )
 
 
 def test_perf_greenwald_khanna(benchmark, workload):

@@ -38,13 +38,12 @@ the sample is judged at exactly the checkpoint rounds for any chunking.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import Any, Literal, get_args
 
 from ..core.approximation import geometric_checkpoints
-from ..exceptions import ConfigurationError, TrackerUnsupportedError
+from ..exceptions import ConfigurationError, TrackerUnsupportedError, require_int
 from ..samplers.base import SampleUpdate, StreamSampler, UpdateBatch
 from ..setsystems.base import SetSystem
 from .base import Adversary
@@ -147,20 +146,6 @@ class ContinuousGameResult(GameResult):
         return self.first_violation is None
 
 
-def _as_int(value: Any, what: str) -> int:
-    """``value`` as a Python int; bools and non-integral values are rejected.
-
-    Game sizes index rounds, so a float (even an integral-valued one) or a
-    bool is a caller bug rather than a value to round.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-
-
 def validate_knowledge(knowledge: str) -> None:
     """Reject a knowledge model outside :data:`KNOWLEDGE_MODELS`."""
     if knowledge not in KNOWLEDGE_MODELS:
@@ -171,7 +156,7 @@ def validate_knowledge(knowledge: str) -> None:
 
 def validate_game(stream_length: int, knowledge: str) -> int:
     """Validate the size and knowledge model of a game; returns the size as an int."""
-    length = _as_int(stream_length, "stream length")
+    length = require_int(stream_length, "stream length")
     if length < 1:
         raise ConfigurationError(f"stream length must be >= 1, got {stream_length}")
     validate_knowledge(knowledge)
@@ -212,7 +197,7 @@ def normalize_checkpoints(
     if isinstance(checkpoints, tuple) and _is_normalized_checkpoints(checkpoints):
         normalized = checkpoints
     else:
-        normalized = tuple(sorted({_as_int(c, "checkpoint") for c in checkpoints}))
+        normalized = tuple(sorted({require_int(c, "checkpoint") for c in checkpoints}))
     if normalized and not (1 <= normalized[0] and normalized[-1] <= stream_length):
         offender = normalized[0] if normalized[0] < 1 else normalized[-1]
         raise ConfigurationError(
@@ -224,7 +209,7 @@ def normalize_checkpoints(
 def _resolve_chunk_size(chunk_size: int | None) -> int:
     if chunk_size is None:
         return DEFAULT_CHUNK_SIZE
-    chunk = _as_int(chunk_size, "chunk size")
+    chunk = require_int(chunk_size, "chunk size")
     if chunk < 1:
         raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
     return chunk

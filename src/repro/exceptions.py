@@ -7,6 +7,9 @@ distinguish configuration problems from runtime failures.
 
 from __future__ import annotations
 
+import operator
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -18,6 +21,21 @@ class ConfigurationError(ReproError):
     Examples include a Bernoulli sampling probability outside ``[0, 1]``, a
     reservoir of non-positive capacity, or a set system over an empty universe.
     """
+
+
+def require_int(value: Any, what: str) -> int:
+    """``value`` as a Python int; bools and non-integral values are rejected.
+
+    Sizes such as stream lengths, capacities and windows count elements, so
+    a float (even an integral-valued one), a string or a bool is a caller
+    bug rather than a value to round.  NumPy integers are accepted.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
 class EmptySampleError(ReproError):

@@ -17,13 +17,18 @@ variant inherits them per window via the same union-bound argument.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, require_int
 from ..rng import RandomState, ensure_generator, spawn_generators
 from .base import SampleUpdate, StreamSampler, UpdateBatch
+
+#: ``(arrival_index, priority, element)``.
+Candidate = tuple[int, float, Any]
 
 
 class SlidingWindowSampler(StreamSampler):
@@ -48,20 +53,28 @@ class SlidingWindowSampler(StreamSampler):
 
     def __init__(self, capacity: int, window: int, seed: RandomState = None) -> None:
         super().__init__()
+        capacity = require_int(capacity, "capacity")
+        window = require_int(window, "window")
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         if window < capacity:
             raise ConfigurationError(
                 f"window ({window}) must be at least the capacity ({capacity})"
             )
-        self.capacity = int(capacity)
-        self.window = int(window)
+        self.capacity = capacity
+        self.window = window
         self._rng = ensure_generator(seed)
-        # Candidates: (arrival_index, priority, element), kept sorted by
-        # arrival.  An element is pruned once `capacity` later-arriving
-        # elements have smaller priorities (it can then never re-enter the
-        # sample before expiring).
-        self._candidates: list[tuple[int, float, Any]] = []
+        # Candidates, kept sorted by arrival, and beside each its dominator
+        # count: how many later arrivals have a strictly smaller priority.  A
+        # candidate is dropped once its count reaches `capacity` (it can then
+        # never re-enter the sample before expiring).  The counts may include
+        # later arrivals that were dropped themselves: a dropped dominator
+        # has `capacity` dominators of its own, so either way the count
+        # reaches `capacity` exactly when `capacity` surviving later
+        # candidates dominate.
+        self._candidates: list[Candidate] = []
+        self._counts: list[int] = []
+        self._sample_entries: list[Candidate] | None = None
 
     # ------------------------------------------------------------------
     # StreamSampler interface
@@ -69,13 +82,28 @@ class SlidingWindowSampler(StreamSampler):
     def _process(self, element: Any) -> SampleUpdate:
         arrival = self.rounds_processed
         priority = float(self._rng.random())
-        self._expire(arrival)
-        self._candidates.append((arrival, priority, element))
-        self._prune()
-        accepted = any(
-            arrival == candidate_arrival for candidate_arrival, _p, _e in self._current_sample_entries()
-        )
-        return SampleUpdate(round_index=arrival, element=element, accepted=accepted)
+        cutoff = arrival - self.window
+        capacity = self.capacity
+        candidates: list[Candidate] = []
+        counts: list[int] = []
+        # Survivors with priority <= the new one; ties sort older first, so
+        # the new element joins the k smallest iff fewer than k precede it.
+        smaller = 0
+        for candidate, count in zip(self._candidates, self._counts):
+            if candidate[0] <= cutoff:
+                continue
+            if candidate[1] > priority:
+                count += 1
+                if count >= capacity:
+                    continue
+            else:
+                smaller += 1
+            candidates.append(candidate)
+            counts.append(count)
+        candidates.append((arrival, priority, element))
+        counts.append(0)
+        self._set_candidates(candidates, counts)
+        return SampleUpdate(round_index=arrival, element=element, accepted=smaller < capacity)
 
     def extend(
         self, elements: Iterable[Any], updates: bool = True
@@ -89,11 +117,11 @@ class SlidingWindowSampler(StreamSampler):
         intermediate states: a candidate is live iff it has not expired by
         the batch's final round, and kept iff fewer than ``capacity``
         surviving later arrivals have strictly smaller priorities — the same
-        fixed point the per-round ``_prune`` maintains incrementally (its
-        dominators expire no earlier than the candidates they dominate, so
-        pruning early never changes the final set).  The kernel therefore
+        fixed point :meth:`process` maintains through its dominator counts
+        (dominators expire no earlier than the candidates they dominate, so
+        dropping early never changes the final set).  The kernel therefore
         scans the batch newest-to-oldest with a single float comparison per
-        rejected element and an ``insort`` per survivor (``O(k log w)``
+        rejected element and a sorted insert per survivor (``O(k log w)``
         expected survivors).
 
         The per-element ``accepted`` flag is defined against each
@@ -108,47 +136,17 @@ class SlidingWindowSampler(StreamSampler):
             return None
         n = len(elements)
         priorities = self._rng.random(n)
-        start_round = self._round
         self._round += n
-        final_round = start_round + n
-        cutoff = final_round - self.window
-        # Only the trailing `window` batch elements can be live at the end;
-        # and if any batch element expired, every pre-batch candidate did too.
-        first_live = max(0, n - self.window)
-
-        capacity = self.capacity
-        kept_reversed: list[tuple[int, float, Any]] = []
-        kept_priorities: list[float] = []
-        threshold: float | None = None
-        for offset in range(n - 1, first_live - 1, -1):
-            priority = float(priorities[offset])
-            if threshold is not None and priority > threshold:
-                continue
-            rank = bisect_left(kept_priorities, priority)
-            if rank >= capacity:
-                continue
-            insort(kept_priorities, priority)
-            kept_reversed.append((start_round + 1 + offset, priority, elements[offset]))
-            if len(kept_priorities) >= capacity:
-                threshold = kept_priorities[capacity - 1]
-        old_kept_reversed: list[tuple[int, float, Any]] = []
-        if first_live == 0:
-            for candidate in reversed(self._candidates):
-                if candidate[0] <= cutoff:
-                    break
-                priority = candidate[1]
-                if threshold is not None and priority > threshold:
-                    continue
-                rank = bisect_left(kept_priorities, priority)
-                if rank >= capacity:
-                    continue
-                insort(kept_priorities, priority)
-                old_kept_reversed.append(candidate)
-                if len(kept_priorities) >= capacity:
-                    threshold = kept_priorities[capacity - 1]
-        old_kept_reversed.reverse()
-        kept_reversed.reverse()
-        self._candidates = old_kept_reversed + kept_reversed
+        # Only the trailing `window` batch elements can be live at the end.
+        live = min(n, self.window)
+        newest_batch = zip(
+            range(self._round, self._round - live, -1),
+            priorities[n - live :][::-1].tolist(),
+            reversed(elements),
+        )
+        self._set_candidates(
+            *self._survivors(chain(newest_batch, reversed(self._candidates)), self._round)
+        )
         return None
 
     def merge(
@@ -201,31 +199,12 @@ class SlidingWindowSampler(StreamSampler):
             for arrival, priority, element in part._candidates
         ]
         combined.sort(key=lambda candidate: candidate[0])
-        cutoff = total_round - self.window
-        capacity = self.capacity
-        kept_reversed: list[tuple[int, float, Any]] = []
-        kept_priorities: list[float] = []
-        threshold: float | None = None
-        for candidate in reversed(combined):
-            if candidate[0] <= cutoff:
-                break  # sorted by arrival: everything before this has expired
-            priority = candidate[1]
-            if threshold is not None and priority > threshold:
-                continue
-            rank = bisect_left(kept_priorities, priority)
-            if rank >= capacity:
-                continue
-            insort(kept_priorities, priority)
-            kept_reversed.append(candidate)
-            if len(kept_priorities) >= capacity:
-                threshold = kept_priorities[capacity - 1]
-        kept_reversed.reverse()
         merged = SlidingWindowSampler(
             self.capacity,
             self.window,
             seed=rng if rng is not None else spawn_generators(self._rng, 1)[0],
         )
-        merged._candidates = kept_reversed
+        merged._set_candidates(*self._survivors(reversed(combined), total_round))
         merged._round = total_round
         return merged
 
@@ -250,7 +229,7 @@ class SlidingWindowSampler(StreamSampler):
         return [element for _arrival, _priority, element in self._current_sample_entries()]
 
     def reset(self) -> None:
-        self._candidates = []
+        self._set_candidates([], [])
         self._round = 0
 
     def memory_footprint(self) -> int:
@@ -259,33 +238,48 @@ class SlidingWindowSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _expire(self, current_round: int) -> None:
-        cutoff = current_round - self.window
-        if cutoff > 0:
-            self._candidates = [
-                candidate for candidate in self._candidates if candidate[0] > cutoff
-            ]
+    def _set_candidates(self, candidates: list[Candidate], counts: list[int]) -> None:
+        self._candidates = candidates
+        self._counts = counts
+        self._sample_entries = None
 
-    def _prune(self) -> None:
-        """Drop candidates that can never re-enter the sample before expiring.
+    def _survivors(
+        self, newest_first: Iterable[Candidate], final_round: int
+    ) -> tuple[list[Candidate], list[int]]:
+        """The expiry + domination fixed point of candidates sorted by arrival.
 
-        A candidate is dominated once at least ``capacity`` candidates that
-        arrived *after* it have strictly smaller priorities: those dominators
-        expire later, so the candidate can never climb back into the k
-        smallest priorities of a live window.
+        Scans ``newest_first`` until the first candidate expired at
+        ``final_round`` and keeps a candidate iff fewer than ``capacity``
+        kept newer ones have strictly smaller priorities; that number, its
+        ``bisect_left`` rank among the kept priorities, is its dominator
+        count.  Returns the kept candidates in arrival order with their counts.
         """
-        kept: list[tuple[int, float, Any]] = []
-        # Scan from newest to oldest, tracking how many newer candidates have
-        # smaller priority than the one under consideration.
-        for candidate in reversed(self._candidates):
-            dominators = sum(
-                1 for newer in kept if newer[1] < candidate[1]
-            )
-            if dominators < self.capacity:
-                kept.append(candidate)
+        cutoff = final_round - self.window
+        capacity = self.capacity
+        kept: list[Candidate] = []
+        counts: list[int] = []
+        priorities: list[float] = []
+        # The capacity-th smallest kept priority: anything above it has
+        # `capacity` dominators.
+        threshold = float("inf")
+        for candidate in newest_first:
+            priority = candidate[1]
+            if priority > threshold:
+                continue
+            if candidate[0] <= cutoff:
+                break
+            rank = bisect_left(priorities, priority)
+            priorities.insert(rank, priority)
+            kept.append(candidate)
+            counts.append(rank)
+            if len(priorities) >= capacity:
+                threshold = priorities[capacity - 1]
         kept.reverse()
-        self._candidates = kept
+        counts.reverse()
+        return kept, counts
 
-    def _current_sample_entries(self) -> list[tuple[int, float, Any]]:
-        live = sorted(self._candidates, key=lambda candidate: candidate[1])
-        return live[: self.capacity]
+    def _current_sample_entries(self) -> list[Candidate]:
+        """The ``capacity`` smallest-priority candidates (ties: older first), cached."""
+        if self._sample_entries is None:
+            self._sample_entries = sorted(self._candidates, key=itemgetter(1))[: self.capacity]
+        return self._sample_entries

@@ -231,6 +231,20 @@ class TestSlidingWindowSampler:
         with pytest.raises(ConfigurationError):
             SlidingWindowSampler(10, 5)
 
+    @pytest.mark.parametrize(
+        ("capacity", "window"),
+        [(2.5, 10), (True, 10), (3, 10.9), (3, "10"), (3, float("nan"))],
+        ids=["float-capacity", "bool-capacity", "float-window", "str-window", "nan-window"],
+    )
+    def test_non_integral_sizes_rejected(self, capacity, window):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            SlidingWindowSampler(capacity, window)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sampler = SlidingWindowSampler(np.int64(3), np.uint16(10), seed=0)
+        assert (sampler.capacity, sampler.window) == (3, 10)
+        assert type(sampler.capacity) is int and type(sampler.window) is int
+
     def test_sample_size_bounded_by_capacity(self, rng):
         sampler = SlidingWindowSampler(5, 50, seed=rng)
         sampler.extend(range(200))
